@@ -1,0 +1,6 @@
+import os
+import sys
+
+# The benchmark's modules are top-level scripts in the parent directory.
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))))
